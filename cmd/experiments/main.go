@@ -1,6 +1,6 @@
-// Command experiments regenerates the paper's tables and figures
-// (DESIGN.md, per-experiment index). Each experiment prints the same rows
-// or series the paper reports, computed on the scaled synthetic inputs.
+// Command experiments regenerates the paper's tables and figures (-list
+// prints the index). Each experiment prints the same rows or series the
+// paper reports, computed on the scaled synthetic inputs.
 //
 // Every experiment primes its full configuration grid through the parallel
 // sweep runner (internal/runner), so independent simulations fan out across

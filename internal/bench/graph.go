@@ -24,7 +24,7 @@ type simGraph struct {
 // records carry several fields (distance, flags, parent, lock word…); at
 // our scaled-down graph sizes one-line records also keep the number of
 // distinct active hints comfortably above the tile count, matching the
-// regime of the paper's multi-million-vertex inputs (DESIGN.md Sec. 5).
+// regime of the paper's multi-million-vertex inputs.
 const vertexStride = 8
 
 func layoutGraph(p *swarm.Program, g *workload.Graph, init uint64) *simGraph {

@@ -43,7 +43,7 @@ type Index struct {
 	rec *metrics.Recorder
 
 	// Query epochs: a task with SeenStamp == scanEpoch has already been
-	// collected by the current LaterAccessors walk; AbortStamp == abortEpoch
+	// collected by the current write-check walk; AbortStamp == abortEpoch
 	// means membership in the most recent AbortSet closure. Epochs bump
 	// before use, so stamp 0 (fresh or recycled task) never matches.
 	scanEpoch  uint64
@@ -52,10 +52,10 @@ type Index struct {
 	// Reused query result buffers. Each query method overwrites its own
 	// buffer on the next call; AbortSet's internal accessor walks use a
 	// separate buffer so a caller may abort tasks while iterating a
-	// LaterWriters/LaterAccessors result.
-	wrScratch   []*task.Task // LaterWriters results
-	accScratch  []*task.Task // LaterAccessors results
-	absScratch  []*task.Task // AbortSet's internal LaterAccessors walks
+	// query's result.
+	wrScratch   []*task.Task // LaterWriters and ReadCheck results
+	accScratch  []*task.Task // LaterAccessors and WriteCheck results
+	absScratch  []*task.Task // AbortSet's internal accessor walks
 	workScratch []*task.Task
 	outScratch  []*task.Task
 
@@ -64,15 +64,52 @@ type Index struct {
 	// between empty and occupied throughout a run.
 	entryPool mem.Pool[entry]
 
+	// regSeq is the last RegID handed out; IDs are never reused, so a ref
+	// to a recycled descriptor can never come back to life.
+	regSeq uint64
+
 	// sigPool recycles the per-attempt signature blocks attached to tasks
 	// on their first registered access and reclaimed (cleared) on Remove.
 	// Lazy attachment keeps pure-enqueue tasks signature-free.
 	sigPool mem.Pool[sig.Attempt]
 }
 
+// entry is one address's accessor lists, in registration order. Removal is
+// lazy: Remove kills a task's refs by zeroing its RegID and only decrements
+// the live counts, and queries step over dead refs, charging one comparison
+// per live ref (the live count), so each list reads exactly as if the dead
+// refs were gone. A list is compacted (a stable filter: abort order follows
+// list order and drives cache and NoC state) when a Remove finds it short or
+// mostly dead, and the entry is released once both live counts reach zero.
 type entry struct {
-	readers []*task.Task
-	writers []*task.Task
+	readers []ref
+	writers []ref
+	nr, nw  int // live refs in readers and writers
+}
+
+// ref is one registration: the task and the RegID of the attempt that made
+// it. It is live while the task still carries that RegID.
+type ref struct {
+	t  *task.Task
+	id uint64
+}
+
+func (r ref) live() bool { return r.t.RegID == r.id }
+
+// compactMax is the list length up to which every Remove compacts; longer
+// lists compact once their dead refs outnumber the live ones. Walking dead
+// refs touches cold descriptors, so the bound stays low.
+const compactMax = 32
+
+// compact drops dead refs, keeping the live ones in order.
+func compact(rs []ref) []ref {
+	out := rs[:0]
+	for _, r := range rs {
+		if r.live() {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // NewIndex returns an empty accessor index publishing comparison counts
@@ -126,10 +163,15 @@ func (ix *Index) release(addr uint64, e *entry) {
 	ix.entryPool.Put(e)
 }
 
-// sigs returns the task's attempt signatures, attaching a pooled block on
-// the attempt's first registered access. Blocks come back from Remove
-// cleared, so attachment is pointer assignment, not a 4 Kbit memset.
-func (ix *Index) sigs(t *task.Task) *sig.Attempt {
+// attach starts the attempt's registrations on its first access: a fresh
+// RegID names its refs, and a pooled signature block records its accesses.
+// Blocks come back from Remove cleared, so attachment is pointer
+// assignment, not a 4 Kbit memset.
+func (ix *Index) attach(t *task.Task) *sig.Attempt {
+	if t.RegID == 0 {
+		ix.regSeq++
+		t.RegID = ix.regSeq
+	}
 	if t.Sigs == nil {
 		t.Sigs = ix.sigPool.Get()
 	}
@@ -140,140 +182,144 @@ func (ix *Index) sigs(t *task.Task) *sig.Attempt {
 // and the presence filter.
 func (ix *Index) OnRead(t *task.Task, addr uint64) {
 	idx := ix.indices(addr)
-	ix.sigs(t).Read.AddIndices(idx)
+	ix.attach(t).Read.AddIndices(idx)
 	ix.filt.Add(idx)
 	e := ix.get(addr)
-	e.readers = append(e.readers, t)
+	e.readers = append(e.readers, ref{t, t.RegID})
+	e.nr++
 }
 
 // OnWrite registers a speculative write, stamping the task's write signature
 // and the presence filter.
 func (ix *Index) OnWrite(t *task.Task, addr uint64) {
 	idx := ix.indices(addr)
-	ix.sigs(t).Write.AddIndices(idx)
+	ix.attach(t).Write.AddIndices(idx)
 	ix.filt.Add(idx)
 	e := ix.get(addr)
-	e.writers = append(e.writers, t)
+	e.writers = append(e.writers, ref{t, t.RegID})
+	e.nw++
 }
 
 // LaterWriters returns uncommitted writers of addr ordered after o,
 // excluding self. A read by a task ordered at o must abort these: the
 // reader must not observe data from its logical future. tile is the tile
 // performing the check, for comparison attribution. The returned slice is
-// scratch, valid until the next LaterWriters call on this Index.
+// scratch, valid until the next LaterWriters or ReadCheck call on this
+// Index.
 func (ix *Index) LaterWriters(addr uint64, o task.Order, self *task.Task, tile int) []*task.Task {
-	if !ix.filt.MayContain(ix.indices(addr)) {
-		return nil
-	}
-	e := ix.tab.Get(addr)
-	if e == nil {
-		return nil
-	}
-	comp := ix.comp(tile)
-	out := ix.wrScratch[:0]
-	for _, w := range e.writers {
-		*comp++
-		if w != self && w.State != task.Committed && o.Before(w.Ord()) {
-			out = append(out, w)
-		}
-	}
-	ix.wrScratch = out
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// LatestEarlierWriter returns the latest-ordered uncommitted writer of addr
-// that precedes o, or nil. This is the producer whose value a read at order
-// o observes; the engine uses it to model forwarding latency — a consumer
-// cannot complete before the producer's execution produced the value.
-func (ix *Index) LatestEarlierWriter(addr uint64, o task.Order, self *task.Task, tile int) *task.Task {
-	if !ix.filt.MayContain(ix.indices(addr)) {
-		return nil
-	}
-	e := ix.tab.Get(addr)
-	if e == nil {
-		return nil
-	}
-	comp := ix.comp(tile)
-	var best *task.Task
-	for _, w := range e.writers {
-		*comp++
-		if w != self && w.State != task.Committed && w.Ord().Before(o) {
-			if best == nil || best.Ord().Before(w.Ord()) {
-				best = w
-			}
-		}
-	}
-	return best
+	ix.wrScratch, _, _ = ix.check(ix.wrScratch[:0], addr, o, self, tile, false)
+	return ix.wrScratch
 }
 
 // LaterAccessors returns uncommitted tasks ordered after o that read or
 // wrote addr, excluding self. A write by a task ordered at o must abort all
 // of these (readers observed a stale value; writers' undo chains would
 // unwind incorrectly otherwise). tile attributes the comparisons. The
-// returned slice is scratch, valid until the next LaterAccessors call on
-// this Index (AbortSet's internal walks use a separate buffer, so aborting
-// returned tasks while iterating is safe).
+// returned slice is scratch, valid until the next LaterAccessors or
+// WriteCheck call on this Index (AbortSet's internal walks use a separate
+// buffer, so aborting returned tasks while iterating is safe).
 func (ix *Index) LaterAccessors(addr uint64, o task.Order, self *task.Task, tile int) []*task.Task {
-	ix.accScratch = ix.laterAccessorsInto(ix.accScratch[:0], addr, o, self, tile)
+	ix.accScratch, _, _ = ix.check(ix.accScratch[:0], addr, o, self, tile, true)
 	return ix.accScratch
 }
 
-// laterAccessorsInto appends the later accessors of addr to dst. Dedup —
-// a task that both read and wrote addr, or read it twice, must appear once —
-// is an epoch stamp on the task, bumped per walk, replacing the quadratic
-// membership scan over the result slice.
-func (ix *Index) laterAccessorsInto(dst []*task.Task, addr uint64, o task.Order, self *task.Task, tile int) []*task.Task {
+// ReadCheck is a read's conflict check: LaterWriters and, once there are
+// none (so the read goes ahead), its producer — the latest-ordered
+// uncommitted writer of addr that precedes o, or nil, whose value the read
+// observes. The engine uses the producer to model forwarding latency: a
+// consumer cannot complete before the producer's execution produced the
+// value. The producer comes from the same walk but is charged as its own
+// pass over the writers.
+func (ix *Index) ReadCheck(addr uint64, o task.Order, self *task.Task, tile int) (later []*task.Task, producer *task.Task) {
+	var nw int
+	ix.wrScratch, producer, nw = ix.check(ix.wrScratch[:0], addr, o, self, tile, false)
+	return ix.withProducer(ix.wrScratch, producer, nw, tile)
+}
+
+// WriteCheck is a write's conflict check: LaterAccessors and, once there
+// are none, its producer (the earlier write it orders after), as in
+// ReadCheck.
+func (ix *Index) WriteCheck(addr uint64, o task.Order, self *task.Task, tile int) (later []*task.Task, producer *task.Task) {
+	var nw int
+	ix.accScratch, producer, nw = ix.check(ix.accScratch[:0], addr, o, self, tile, true)
+	return ix.withProducer(ix.accScratch, producer, nw, tile)
+}
+
+// withProducer finishes ReadCheck and WriteCheck: a producer is reported,
+// and its nw writer comparisons charged, only when nothing must abort.
+func (ix *Index) withProducer(later []*task.Task, producer *task.Task, nw, tile int) ([]*task.Task, *task.Task) {
+	if len(later) > 0 {
+		return later, nil
+	}
+	*ix.comp(tile) += uint64(nw)
+	return nil, producer
+}
+
+// check walks addr's accessor lists once for an access by self at order o,
+// charging tile one comparison per live ref it checks. It appends to dst the
+// uncommitted tasks other than self ordered after o that wrote addr — and,
+// for a write, also those that read it, each task once — and returns the
+// producer (the latest such writer ordered before o) and the number of live
+// writers. Dedup is an epoch stamp on the task, bumped per walk, replacing
+// the quadratic membership scan over the result slice; a read's later
+// writers are not deduplicated.
+func (ix *Index) check(dst []*task.Task, addr uint64, o task.Order, self *task.Task, tile int, write bool) ([]*task.Task, *task.Task, int) {
 	if !ix.filt.MayContain(ix.indices(addr)) {
-		return dst
+		return dst, nil, 0
 	}
 	e := ix.tab.Get(addr)
 	if e == nil {
-		return dst
+		return dst, nil, 0
 	}
-	ix.scanEpoch++
-	ep := ix.scanEpoch
 	comp := ix.comp(tile)
-	for _, r := range e.readers {
-		*comp++
-		if r != self && r.State != task.Committed && o.Before(r.Ord()) && r.SeenStamp != ep {
-			r.SeenStamp = ep
-			dst = append(dst, r)
+	*comp += uint64(e.nw)
+	var ep uint64
+	if write {
+		*comp += uint64(e.nr)
+		ix.scanEpoch++
+		ep = ix.scanEpoch
+		for _, r := range e.readers {
+			if u := r.t; r.live() && u != self && u.State != task.Committed && o.Before(u.Ord()) && u.SeenStamp != ep {
+				u.SeenStamp = ep
+				dst = append(dst, u)
+			}
 		}
 	}
-	for _, w := range e.writers {
-		*comp++
-		if w != self && w.State != task.Committed && o.Before(w.Ord()) && w.SeenStamp != ep {
-			w.SeenStamp = ep
+	var producer *task.Task
+	for _, r := range e.writers {
+		w := r.t
+		if !r.live() || w == self || w.State == task.Committed {
+			continue
+		}
+		if o.Before(w.Ord()) {
+			if write {
+				if w.SeenStamp == ep {
+					continue
+				}
+				w.SeenStamp = ep
+			}
 			dst = append(dst, w)
+		} else if w.Ord().Before(o) && (producer == nil || producer.Ord().Before(w.Ord())) {
+			producer = w
 		}
 	}
-	return dst
+	return dst, producer, e.nw
 }
 
 // Remove unregisters a task from every address it touched in its current
 // attempt. Call on commit and on abort (before ResetAttempt). Every
 // registration's presence-filter count is released, mirroring the OnRead/
-// OnWrite that created it.
+// OnWrite that created it. Zeroing RegID kills all of the attempt's refs at
+// once; each list then only drops a live count, and is compacted when short
+// or mostly dead.
 func (ix *Index) Remove(t *task.Task) {
-	for _, a := range t.Reads {
-		ix.filt.Remove(ix.indices(a))
-		if e := ix.tab.Get(a); e != nil {
-			e.readers = removeTask(e.readers, t)
-			if len(e.readers) == 0 && len(e.writers) == 0 {
-				ix.release(a, e)
-			}
+	if t.RegID != 0 {
+		t.RegID = 0
+		for _, a := range t.Reads {
+			ix.unregister(a, false)
 		}
-	}
-	for _, a := range t.Writes {
-		ix.filt.Remove(ix.indices(a))
-		if e := ix.tab.Get(a); e != nil {
-			e.writers = removeTask(e.writers, t)
-			if len(e.readers) == 0 && len(e.writers) == 0 {
-				ix.release(a, e)
-			}
+		for _, a := range t.Writes {
+			ix.unregister(a, true)
 		}
 	}
 	if t.Sigs != nil {
@@ -283,14 +329,24 @@ func (ix *Index) Remove(t *task.Task) {
 	}
 }
 
-func removeTask(ts []*task.Task, t *task.Task) []*task.Task {
-	out := ts[:0]
-	for _, x := range ts {
-		if x != t {
-			out = append(out, x)
-		}
+// unregister releases one dead read or write ref at addr: its filter count
+// and its list's live count.
+func (ix *Index) unregister(addr uint64, write bool) {
+	ix.filt.Remove(ix.indices(addr))
+	e := ix.tab.Get(addr)
+	if e == nil {
+		return
 	}
-	return out
+	refs, live := &e.readers, &e.nr
+	if write {
+		refs, live = &e.writers, &e.nw
+	}
+	*live--
+	if e.nr == 0 && e.nw == 0 {
+		ix.release(addr, e)
+	} else if n := len(*refs); n <= compactMax || n-*live > *live {
+		*refs = compact(*refs)
+	}
 }
 
 // AbortSet computes the transitive closure of tasks that must abort when
@@ -321,7 +377,7 @@ func (ix *Index) AbortSet(seed *task.Task) []*task.Task {
 		// Only tasks that actually executed have speculative writes.
 		if t.State == task.Running || t.State == task.Finished {
 			for _, a := range t.Writes {
-				ix.absScratch = ix.laterAccessorsInto(ix.absScratch[:0], a, t.Ord(), t, t.Tile)
+				ix.absScratch, _, _ = ix.check(ix.absScratch[:0], a, t.Ord(), t, t.Tile, true)
 				for _, u := range ix.absScratch {
 					if u.AbortStamp != ep {
 						u.AbortStamp = ep

@@ -248,3 +248,170 @@ func TestSignatureAttemptLifecycle(t *testing.T) {
 		t.Fatal("ResetAttempt did not clear an attached signature block")
 	}
 }
+
+func (r *refIndex) latestEarlierWriter(addr uint64, o task.Order, self *task.Task) *task.Task {
+	var best *task.Task
+	for _, w := range r.writers[addr] {
+		if w != self && w.State != task.Committed && w.Ord().Before(o) {
+			if best == nil || best.Ord().Before(w.Ord()) {
+				best = w
+			}
+		}
+	}
+	return best
+}
+
+// checkAccessorLists asserts the lazy-deletion invariants of every entry:
+// the live counts equal the live refs in each list, no list holds more dead
+// refs than live ones (Remove compacts it before that), and an entry with no
+// live ref is released. It returns the longest list seen and whether any
+// list over compactMax still holds a dead ref.
+func checkAccessorLists(t *testing.T, step int, ix *Index) (longest int, deadInLong bool) {
+	t.Helper()
+	ix.tab.Range(func(a uint64, e *entry) bool {
+		for _, l := range []struct {
+			refs []ref
+			live int
+		}{{e.readers, e.nr}, {e.writers, e.nw}} {
+			n := 0
+			for _, r := range l.refs {
+				if r.live() {
+					n++
+				}
+			}
+			if n != l.live {
+				t.Fatalf("step %d: %#x: live count %d, %d live refs", step, a, l.live, n)
+			}
+			if dead := len(l.refs) - n; dead > n {
+				t.Fatalf("step %d: %#x: %d dead refs outnumber %d live", step, a, dead, n)
+			} else if dead > 0 && len(l.refs) > compactMax {
+				deadInLong = true
+			}
+			longest = max(longest, len(l.refs))
+		}
+		if e.nr == 0 && e.nw == 0 {
+			t.Fatalf("step %d: %#x: entry with no live ref retained", step, a)
+		}
+		return true
+	})
+	return longest, deadInLong
+}
+
+// TestAccessorListDifferential drives the lazily deleted accessor lists
+// against the eager reference model. A hot phase piles hundreds of tasks
+// onto a few addresses, so lists grow past compactMax and Removes leave dead
+// refs in place until they outnumber the live ones; a wide phase then
+// spreads the same traffic over many addresses. Committed descriptors go
+// back through a task.Pool and are reused at once, so a stale ref to a
+// recycled descriptor must stay dead. Every query — LaterWriters,
+// LaterAccessors, and the engine's ReadCheck and WriteCheck with their
+// producers — must match the reference element for element and charge
+// exactly one comparison per live accessor it checks.
+func TestAccessorListDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	ix := NewIndex(nil)
+	ref := newRefIndex()
+	var pool task.Pool
+	var active []*task.Task
+	var nextID uint64
+	seen := map[*task.Task]bool{}
+	recycled := false
+	spawn := func() {
+		nextID++
+		tk := pool.Get(nextID, 0, uint64(rng.Intn(1000)), task.HintNone, 0, nil, nil)
+		tk.State = task.Running
+		recycled = recycled || seen[tk]
+		seen[tk] = true
+		active = append(active, tk)
+	}
+	unregister := func(tk *task.Task) {
+		ix.Remove(tk)
+		ref.remove(tk)
+		tk.ResetAttempt()
+	}
+
+	const steps = 60_000
+	var longest int
+	var deadInLong bool
+	for step := 0; step < steps; step++ {
+		hot := step < steps/2
+		nAddrs, maxActive := 48, 64
+		if hot {
+			nAddrs, maxActive = 3, 400
+		}
+		a := 0x4000 + uint64(rng.Intn(nAddrs))*8
+		if len(active) < maxActive && rng.Intn(8) == 0 || len(active) == 0 {
+			spawn()
+			continue
+		}
+		i := rng.Intn(len(active))
+		tk := active[i]
+		switch op := rng.Intn(20); {
+		case op < 6: // read
+			ix.OnRead(tk, a)
+			tk.Reads = append(tk.Reads, a)
+			ref.readers[a] = append(ref.readers[a], tk)
+		case op < 9: // write
+			ix.OnWrite(tk, a)
+			tk.Writes = append(tk.Writes, a)
+			ref.writers[a] = append(ref.writers[a], tk)
+		case op < 15: // queries, as tk or as an outside order
+			self, o := tk, tk.Ord()
+			if op%2 == 0 {
+				self, o = nil, task.Order{TS: uint64(rng.Intn(1000)), ID: rng.Uint64()}
+			}
+			wantW := ref.laterWriters(a, o, self)
+			wantA := ref.laterAccessors(a, o, self)
+			nr, nw := uint64(len(ref.readers[a])), uint64(len(ref.writers[a]))
+			before := ix.Comparisons()
+			gotW := append([]*task.Task(nil), ix.LaterWriters(a, o, self, 0)...)
+			gotA := append([]*task.Task(nil), ix.LaterAccessors(a, o, self, 0)...)
+			rdW, rdP := ix.ReadCheck(a, o, self, 0)
+			rdW = append([]*task.Task(nil), rdW...)
+			wrA, wrP := ix.WriteCheck(a, o, self, 0)
+			want := nw + (nr + nw) + nw + (nr + nw)
+			if !sameTasks(gotW, wantW) || !sameTasks(rdW, wantW) {
+				t.Fatalf("step %d: LaterWriters(%#x) = %v, ReadCheck = %v, want %v", step, a, gotW, rdW, wantW)
+			}
+			if !sameTasks(gotA, wantA) || !sameTasks(wrA, wantA) {
+				t.Fatalf("step %d: LaterAccessors(%#x) = %v, WriteCheck = %v, want %v", step, a, gotA, wrA, wantA)
+			}
+			// The producer is reported, and its writer pass charged, only
+			// when nothing must abort.
+			wantRdP, wantWrP := ref.latestEarlierWriter(a, o, self), ref.latestEarlierWriter(a, o, self)
+			if len(wantW) > 0 {
+				wantRdP = nil
+			} else {
+				want += nw
+			}
+			if len(wantA) > 0 {
+				wantWrP = nil
+			} else {
+				want += nw
+			}
+			if rdP != wantRdP || wrP != wantWrP {
+				t.Fatalf("step %d: producers of %#x: read %p, write %p, want %p, %p", step, a, rdP, wrP, wantRdP, wantWrP)
+			}
+			if got := ix.Comparisons() - before; got != want {
+				t.Fatalf("step %d: %#x: %d comparisons, want %d", step, a, got, want)
+			}
+		case op < 18: // abort: drop the attempt, re-register later
+			unregister(tk)
+		default: // commit and recycle the descriptor
+			unregister(tk)
+			tk.State = task.Committed
+			active[i] = active[len(active)-1]
+			active = active[:len(active)-1]
+			pool.Put(tk)
+			spawn()
+		}
+		if step%64 == 0 || step == steps-1 {
+			l, d := checkAccessorLists(t, step, ix)
+			longest, deadInLong = max(longest, l), deadInLong || d
+		}
+	}
+	if longest <= compactMax || !deadInLong || !recycled {
+		t.Fatalf("trace missed a path: longest list %d (compactMax %d), dead refs in a long list %v, descriptor reuse %v",
+			longest, compactMax, deadInLong, recycled)
+	}
+}

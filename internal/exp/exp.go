@@ -1,8 +1,7 @@
 // Package exp is the experiment harness: one runner per table and figure of
 // the paper's evaluation (Sec. II-C, IV, V, VI), each regenerating the same
-// rows or series the paper reports, on the scaled synthetic inputs. The
-// per-experiment index lives in DESIGN.md; measured-vs-paper shapes are
-// recorded in EXPERIMENTS.md.
+// rows or series the paper reports, on the scaled synthetic inputs.
+// `cmd/experiments -list` prints the per-experiment index.
 package exp
 
 import (

@@ -22,6 +22,8 @@ const (
 
 // hashes are the shared H3 functions, seeded exactly as the original
 // conflict-package Bloom so signature contents are unchanged by the move.
+// IndicesFor reads them through the fused table below; they stay the
+// reference definition its tests check against.
 var hashes = func() [Ways]*hashutil.H3 {
 	var hs [Ways]*hashutil.H3
 	for i := range hs {
@@ -30,18 +32,48 @@ var hashes = func() [Ways]*hashutil.H3 {
 	return hs
 }()
 
+// fused[j][b] holds, for every way w, the low 11 bits of hashes[w]'s
+// contribution from byte value b at byte position j, packed 16 bits per way:
+// ways 0-3 in word 0, ways 4-7 in word 1. H3 is XOR-linear over the input
+// bytes and Bits is a power of two, so % Bits distributes over the XOR and
+// folding the eight per-byte entries yields every way's bit position at
+// once: 8 lookups into one 32 KB table instead of 64 spread over eight.
+var fused = func() *[8][256][2]uint64 {
+	var f [8][256][2]uint64
+	for j := range f {
+		for b := range f[j] {
+			x := uint64(b) << (8 * j)
+			for w, h := range hashes {
+				f[j][b][w/4] |= (h.Hash(x) % Bits) << (16 * (w % 4))
+			}
+		}
+	}
+	return &f
+}()
+
 // Indices are the Ways bit positions an address maps to. Computing them once
 // per access and passing them by pointer keeps the hash work off the paths
 // that touch several signature structures for the same address.
 type Indices [Ways]uint16
 
-// IndicesFor hashes addr into its signature bit positions.
+// IndicesFor hashes addr into its signature bit positions: for every way i,
+// hashes[i].Hash(addr) % Bits.
 func IndicesFor(addr uint64) Indices {
-	var ix Indices
-	for i, h := range hashes {
-		ix[i] = uint16(h.Hash(addr) % Bits)
+	f := fused
+	e0 := &f[0][byte(addr)]
+	e1 := &f[1][byte(addr>>8)]
+	e2 := &f[2][byte(addr>>16)]
+	e3 := &f[3][byte(addr>>24)]
+	e4 := &f[4][byte(addr>>32)]
+	e5 := &f[5][byte(addr>>40)]
+	e6 := &f[6][byte(addr>>48)]
+	e7 := &f[7][byte(addr>>56)]
+	lo := e0[0] ^ e1[0] ^ e2[0] ^ e3[0] ^ e4[0] ^ e5[0] ^ e6[0] ^ e7[0]
+	hi := e0[1] ^ e1[1] ^ e2[1] ^ e3[1] ^ e4[1] ^ e5[1] ^ e6[1] ^ e7[1]
+	return Indices{
+		uint16(lo), uint16(lo >> 16), uint16(lo >> 32), uint16(lo >> 48),
+		uint16(hi), uint16(hi >> 16), uint16(hi >> 32), uint16(hi >> 48),
 	}
-	return ix
 }
 
 // Bloom is a fixed-size Bloom filter over word addresses, modelling the

@@ -112,3 +112,30 @@ func TestFilterReset(t *testing.T) {
 		t.Fatal("reset did not clear the filter")
 	}
 }
+
+// TestIndicesForMatchesPerWayH3 checks the fused table against the per-way
+// H3 reference: every way's bit position must equal hashes[i].Hash(a) % Bits
+// for random addresses, the extremes, and every single-byte value at every
+// byte position (each fused-table entry in isolation).
+func TestIndicesForMatchesPerWayH3(t *testing.T) {
+	check := func(a uint64) {
+		t.Helper()
+		got := IndicesFor(a)
+		for i, h := range hashes {
+			if want := uint16(h.Hash(a) % Bits); got[i] != want {
+				t.Fatalf("IndicesFor(%#x)[%d] = %d, want %d", a, i, got[i], want)
+			}
+		}
+	}
+	check(0)
+	check(^uint64(0))
+	for j := 0; j < 8; j++ {
+		for b := uint64(0); b < 256; b++ {
+			check(b << (8 * j))
+		}
+	}
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 100_000; i++ {
+		check(rng.Uint64())
+	}
+}

@@ -18,15 +18,14 @@ type Ctx struct {
 	cycles uint64
 }
 
-// waitForProducer stalls this task when the current value of addr was
-// written by a task that is still executing: forwarded data cannot be
-// consumed before its producer has produced it (plus the NoC transfer).
-// The stall is charged into the task's cycle count at the point of the
-// access, so it compounds through dependency chains — without it, an
+// waitForProducer stalls this task when w, the producer of the value it
+// accesses (found by the conflict check), is still executing: forwarded
+// data cannot be consumed before its producer has produced it (plus the NoC
+// transfer). The stall is charged into the task's cycle count at the point
+// of the access, so it compounds through dependency chains — without it, an
 // N-deep chain of read-modify-writes would collapse to a single task
 // duration of wall-clock time under any scheduler.
-func (c *Ctx) waitForProducer(addr uint64) {
-	w := c.e.index.LatestEarlierWriter(addr, c.t.Ord(), c.t, c.tile)
+func (c *Ctx) waitForProducer(w *task.Task) {
 	if w == nil || w.State != task.Running {
 		return
 	}
@@ -59,8 +58,9 @@ func (c *Ctx) Read(addr uint64) uint64 {
 	c.cycles += uint64(e.hier.Access(c.core, c.tile, addr, false, noc.MsgMem))
 	c.cycles += e.cfg.ConflictCheckCycles
 	for {
-		ws := e.index.LaterWriters(addr, c.t.Ord(), c.t, c.tile)
+		ws, producer := e.index.ReadCheck(addr, c.t.Ord(), c.t, c.tile)
 		if len(ws) == 0 {
+			c.waitForProducer(producer)
 			break
 		}
 		for _, w := range ws {
@@ -71,7 +71,6 @@ func (c *Ctx) Read(addr uint64) uint64 {
 			e.abort(w)
 		}
 	}
-	c.waitForProducer(addr)
 	e.index.OnRead(c.t, addr)
 	c.t.Reads = append(c.t.Reads, addr)
 	return e.prog.Mem.Load(addr)
@@ -86,8 +85,9 @@ func (c *Ctx) Write(addr, val uint64) {
 	c.cycles += uint64(e.hier.Access(c.core, c.tile, addr, true, noc.MsgMem))
 	c.cycles += e.cfg.ConflictCheckCycles
 	for {
-		us := e.index.LaterAccessors(addr, c.t.Ord(), c.t, c.tile)
+		us, producer := e.index.WriteCheck(addr, c.t.Ord(), c.t, c.tile)
 		if len(us) == 0 {
+			c.waitForProducer(producer) // WAW: our write completes after the earlier one
 			break
 		}
 		for _, u := range us {
@@ -95,7 +95,6 @@ func (c *Ctx) Write(addr, val uint64) {
 			e.abort(u)
 		}
 	}
-	c.waitForProducer(addr) // WAW: our write completes after the earlier one
 	old, seq := e.prog.Mem.Store(addr, val)
 	c.t.Undo.Append(mem.UndoEntry{Addr: addr, Old: old, Seq: seq})
 	e.index.OnWrite(c.t, addr)

@@ -167,12 +167,13 @@ type Engine struct {
 	undoScratch []mem.UndoEntry // abort's merged-rollback buffer
 
 	// pickCandidate memo. The candidate walk is a function of the tile's
-	// idle heap and running set only, and under hint serialization it can
-	// visit every idle task just to conclude "stall"; each tile caches its
-	// last result, invalidated by a version counter that every mutation of
-	// those inputs bumps. A hit replaces the walk with two loads — the
-	// dominant case in contended phases, where dispatch re-attempts every
-	// event while the queue state barely changes.
+	// order-sorted idle ring and running set only, and under hint
+	// serialization it can visit every idle task just to conclude "stall";
+	// each tile caches its last result, invalidated by a version counter
+	// that every mutation of those inputs bumps. A hit replaces the walk
+	// with two loads — the dominant case in contended phases, where
+	// dispatch re-attempts every event while the queue state barely
+	// changes.
 	pickMemo []pickMemo
 }
 
@@ -186,7 +187,7 @@ type pickMemo struct {
 }
 
 // bumpPick invalidates a tile's cached dispatch candidate; call after any
-// change to the tile's idle tasks or running set.
+// change to the tile's idle ring or running set.
 func (e *Engine) bumpPick(tile int) { e.pickMemo[tile].ver++ }
 
 // runHint is pickCandidate's snapshot of one running hinted task.
@@ -598,11 +599,13 @@ func (e *Engine) tryDispatch(coreID int) bool {
 		// persisted a full GVT interval (so commits alone will not unblock
 		// us — the candidate itself may be holding GVT back), abort the
 		// latest speculative task on this tile to make room ("aborting
-		// higher-timestamp tasks to free space", Sec. II-B).
-		blockedLong := cs.reason == idleCommitQ && e.now-cs.idleSince >= 2*e.cfg.GVTInterval
-		victim := e.latestSpeculative(tile)
-		if blockedLong && victim != nil && victim.State == task.Finished &&
-			pick.Ord().Before(victim.Ord()) {
+		// higher-timestamp tasks to free space", Sec. II-B). The victim
+		// scan runs only once the stall is that long.
+		var victim *task.Task
+		if cs.reason == idleCommitQ && e.now-cs.idleSince >= 2*e.cfg.GVTInterval {
+			victim = e.latestSpeculative(tile)
+		}
+		if victim != nil && victim.State == task.Finished && pick.Ord().Before(victim.Ord()) {
 			e.abort(victim)
 			if pick.State != task.Idle { // candidate got dragged into the abort
 				e.markIdle(coreID, idleCommitQ)
@@ -705,7 +708,7 @@ func (e *Engine) steal(tile int) {
 
 func (e *Engine) execute(t *task.Task, coreID int) {
 	cs := &e.cores[coreID]
-	e.bumpPick(cs.tile) // idle heap shrank, running set grows
+	e.bumpPick(cs.tile) // idle ring shrank, running set grows
 	t.ResetAttempt()
 	t.DispatchCycle = e.now
 	cs.running = t

@@ -107,6 +107,13 @@ type Task struct {
 	SeenStamp  uint64
 	AbortStamp uint64
 
+	// RegID names the current attempt's registrations in the conflict
+	// index: the index assigns a fresh nonzero value when it attaches the
+	// attempt's signature block and zeroes it on Remove, so every accessor
+	// reference it stamped with another value is dead. Zero means the
+	// attempt holds no registrations.
+	RegID uint64
+
 	// DispatchCycle is when the current attempt started.
 	DispatchCycle uint64
 	// qpos is the task's slot in its tile's order-indexed idle ring
@@ -148,7 +155,7 @@ func (t *Task) init(id uint64, fn FnID, ts uint64, kind HintKind, hint uint64, p
 	if t.Sigs != nil {
 		t.Sigs.Reset()
 	}
-	t.SeenStamp, t.AbortStamp = 0, 0
+	t.SeenStamp, t.AbortStamp, t.RegID = 0, 0, 0
 	t.RunCycles, t.Aborts = 0, 0
 	t.DispatchCycle = 0
 	t.qpos = -1
@@ -605,15 +612,21 @@ func (q *Queue) DropSquashedSpills() {
 
 // EarliestUncommitted returns the earliest order among all tasks this tile
 // is responsible for (idle, running, finished, spilled), or MaxOrder. The
-// GVT arbiter aggregates this across tiles.
+// GVT arbiter aggregates this across tiles. The idle ring's head and the
+// spill buffer's last still-Spilled entry (the buffer is sorted descending,
+// so the walk back from the tail skips only lingering squashed tasks) are
+// the earliest of their sets; running and finished are scanned.
 func (q *Queue) EarliestUncommitted(running []*Task, finished []*Task) Order {
 	best := MaxOrder
 	if q.idle.n > 0 && q.idle.buf[q.idle.head].Ord().Before(best) {
 		best = q.idle.buf[q.idle.head].Ord()
 	}
-	for _, t := range q.spillBuffer {
-		if t.State == Spilled && t.Ord().Before(best) {
-			best = t.Ord()
+	for i := len(q.spillBuffer) - 1; i >= 0; i-- {
+		if t := q.spillBuffer[i]; t.State == Spilled {
+			if t.Ord().Before(best) {
+				best = t.Ord()
+			}
+			break
 		}
 	}
 	for _, t := range running {

@@ -323,3 +323,55 @@ func TestHeapPropertyRandomized(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEarliestUncommittedSpillTail checks the GVT floor's read of the spill
+// buffer — a walk back from the tail to the first still-Spilled entry —
+// against a linear scan over every entry, with squashed tasks interleaved
+// anywhere in the buffer, including its tail and all of it.
+func TestEarliestUncommittedSpillTail(t *testing.T) {
+	linear := func(q *Queue, running []*Task) Order {
+		best := MaxOrder
+		if q.idle.n > 0 {
+			best = q.PeekEarliest().Ord()
+		}
+		for _, tk := range q.spillBuffer {
+			if tk.State == Spilled && tk.Ord().Before(best) {
+				best = tk.Ord()
+			}
+		}
+		for _, tk := range running {
+			if tk.Ord().Before(best) {
+				best = tk.Ord()
+			}
+		}
+		return best
+	}
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 2000; trial++ {
+		q := NewQueue(0, 8, 4)
+		var id uint64
+		next := func() *Task {
+			id++
+			return mk(id, uint64(rng.Intn(500)))
+		}
+		for i := rng.Intn(6); i > 0; i-- {
+			q.Enqueue(next())
+		}
+		for i := rng.Intn(40); i > 0; i-- {
+			q.SpillDirect(next())
+		}
+		squashPct := rng.Intn(101)
+		for _, tk := range q.spillBuffer {
+			if rng.Intn(100) < squashPct {
+				tk.State = Squashed
+			}
+		}
+		var running []*Task
+		for i := rng.Intn(3); i > 0; i-- {
+			running = append(running, next())
+		}
+		if got, want := q.EarliestUncommitted(running, nil), linear(q, running); got != want {
+			t.Fatalf("trial %d: EarliestUncommitted = %+v, want %+v", trial, got, want)
+		}
+	}
+}

@@ -1,8 +1,8 @@
 // Package workload generates deterministic synthetic inputs that substitute
-// for the paper's proprietary datasets (DESIGN.md, Sec. 1): grid and
-// triangular meshes for the DIMACS graphs, grid road networks with
-// coordinates for the USA/Germany road maps, a preferential-attachment
-// social graph for com-youtube, a carry-save-adder circuit for csaArray32,
+// for the paper's proprietary datasets: grid and triangular meshes for the
+// DIMACS graphs, grid road networks with coordinates for the USA/Germany
+// road maps, a preferential-attachment social graph for com-youtube, a
+// carry-save-adder circuit for csaArray32,
 // tornado traffic for the GARNET mesh, a TPC-C-like transaction mix for
 // silo, overlapping gene segments for genome, and Gaussian point clouds for
 // kmeans. All generators are seeded and reproducible.
