@@ -1,16 +1,19 @@
 // Command swarmgate fronts a fleet of swarmd replicas with an adaptive
 // routing gateway (internal/gate). It exposes the same /v1 surface as a
 // single swarmd — same swarm/api request/response contract, same error
-// envelope, byte-identical responses — but decomposes each sweep grid
-// into points and routes every point to a replica through a pluggable
-// balancer, with per-point timeouts and bounded retry-on-retryable
-// against a different replica. A replica killed mid-sweep is drained and
-// its in-flight points are re-routed, so the sweep still completes.
+// envelope, byte-identical responses — but splits each sweep grid into
+// shares, one cross-product sub-grid per replica chosen by a pluggable
+// balancer, and streams every share from its replica as one /v1/sweep.
+// Points a share fails to deliver fall back to one /v1/run each, with
+// per-point timeouts and bounded retry-on-retryable against a different
+// replica; a straggling share's missing points are hedged per point. A
+// replica killed mid-sweep is drained and the points its share still owed
+// are re-routed, so the sweep still completes.
 //
 // Endpoints (identical contract to swarmd):
 //
 //	POST /v1/run              one configuration, routed to one replica
-//	POST /v1/sweep            a grid, fanned out and reassembled in config order
+//	POST /v1/sweep            a grid, split into per-replica shares and reassembled in config order
 //	GET  /v1/experiments      proxied replica experiment listing
 //	POST /v1/experiments/{id} proxied to one replica (retried on retryable failure)
 //	GET  /healthz             gateway liveness + per-replica health map
@@ -62,14 +65,14 @@ func main() {
 		addr        = flag.String("addr", ":8090", "listen address (host:port; port 0 = ephemeral)")
 		replicas    = flag.String("replicas", "", "comma-separated swarmd base URLs (required), e.g. http://10.0.0.1:8080,http://10.0.0.2:8080")
 		balancer    = flag.String("balancer", gate.BalancerAdaptive, "routing policy: adaptive, p2c, or roundrobin")
-		pointTO     = flag.Duration("point-timeout", 5*time.Minute, "per-attempt timeout for one point (0 = none)")
+		pointTO     = flag.Duration("point-timeout", 5*time.Minute, "per-attempt timeout for one point, and the longest a share may wait for its next record (0 = none)")
 		retries     = flag.Int("retries", 3, "extra attempts for a retryable point failure, each on a different replica")
-		concurrency = flag.Int("concurrency", 0, "max points in flight per request (0 = 4 x replicas)")
+		concurrency = flag.Int("concurrency", 0, "max per-point requests (share fallbacks, hedges, seed runs) in flight per request (0 = 4 x replicas)")
 		probe       = flag.Duration("probe", time.Second, "background /healthz probe interval (negative = disabled; the interval is jittered +/-25%)")
 		probeTO     = flag.Duration("probe-timeout", 0, "per-probe timeout (0 = 2s)")
 		seed        = flag.Int64("seed", 1, "balancer PRNG seed (routing is reproducible for a fixed seed)")
 		drain       = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout")
-		hedge       = flag.Bool("hedge", true, "hedge straggling points with a second attempt on another replica after the fleet's ~p95 latency")
+		hedge       = flag.Bool("hedge", true, "hedge straggling points and shares with per-point attempts on another replica after the fleet's ~p95 time to the next point")
 		brkThresh   = flag.Int("breaker-threshold", 0, "consecutive failures that open a replica's circuit breaker (0 = 5, negative = disabled)")
 		brkCooldown = flag.Duration("breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (0 = 2s)")
 		retryWait   = flag.Duration("retry-backoff", 0, "base retry backoff, grown exponentially with full jitter (0 = 5ms, negative = disabled)")

@@ -140,7 +140,7 @@ func TestSummaryRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"gmean", "Random", "Hints+FG", "LBHints", "traffic reduction"} {
+	for _, want := range []string{"gmean", "Random", "Hints+FG", "LBHints", "Hints+FG/Random gmean ratio:", "traffic reduction"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("summary missing %q:\n%s", want, out)
 		}

@@ -560,7 +560,7 @@ func Summary(ctx context.Context, r *Runner, w io.Writer) error {
 	fmt.Fprintf(w, "  Hints     %8.1fx\n", gmean(sH))
 	fmt.Fprintf(w, "  Hints+FG  %8.1fx\n", gmean(sHF))
 	fmt.Fprintf(w, "  LBHints   %8.1fx\n", gmean(sLB))
-	fmt.Fprintf(w, "Hints/Random gmean ratio: %.2fx (paper: 3.3x)\n", gmean(sHF)/gmean(sR))
+	fmt.Fprintf(w, "Hints+FG/Random gmean ratio: %.2fx (paper: 3.3x)\n", gmean(sHF)/gmean(sR))
 	if abortH > 0 {
 		fmt.Fprintf(w, "wasted-work reduction (aborted cycles, Random/Hints): %.1fx (paper: 6.4x)\n", abortR/abortH)
 	}

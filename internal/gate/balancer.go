@@ -14,17 +14,22 @@ type Outcome int
 // request context died mid-attempt): it releases the attempt's slot in
 // load-tracking balancers but must not move any score — a client
 // disconnect says nothing about the replica's health or speed.
+// OutcomeProgress is a success that does not end the attempt: a streamed
+// sweep share reports every record but its last with it, so the latency
+// signal stays "time to the next point" while the share keeps its slot.
 const (
 	OutcomeSuccess Outcome = iota
 	OutcomeFailure
 	OutcomeCanceled
+	OutcomeProgress
 )
 
 // Balancer decides which replica serves the next point and learns from
 // every attempt's outcome. Implementations are safe for concurrent use;
-// every Pick is followed by exactly one Observe for the attempt it chose
-// (whatever its outcome), which is what lets load-tracking balancers keep
-// an outstanding count.
+// every Pick is followed by exactly one final Observe for the attempt it
+// chose (whatever its outcome), which is what lets load-tracking balancers
+// keep an outstanding count. OutcomeProgress observations may precede the
+// final one and are not final.
 type Balancer interface {
 	// Pick chooses one replica index among candidates (never empty).
 	Pick(candidates []int) int
@@ -192,12 +197,12 @@ func (p *p2c) Pick(candidates []int) int {
 func (p *p2c) Observe(i int, latency time.Duration, o Outcome) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	// Every outcome — canceled included — returns the outstanding slot the
-	// Pick took; only successes feed the latency signal.
-	if p.out[i] > 0 {
+	// Every final outcome — canceled included — returns the outstanding
+	// slot the Pick took; only successes feed the latency signal.
+	if o != OutcomeProgress && p.out[i] > 0 {
 		p.out[i]--
 	}
-	if o == OutcomeSuccess {
+	if o == OutcomeSuccess || o == OutcomeProgress {
 		lat := latency.Seconds()
 		if p.lat[i] == 0 {
 			p.lat[i] = lat

@@ -125,6 +125,24 @@ func TestP2CPrefersLessLoaded(t *testing.T) {
 	}
 }
 
+// TestP2CProgressKeepsSlot: a streamed share reports its records with
+// OutcomeProgress, which feeds the latency signal but must not return the
+// slot — only the share's final Observe does.
+func TestP2CProgressKeepsSlot(t *testing.T) {
+	p := newP2C(2, 1)
+	i := p.Pick([]int{0})
+	for k := 0; k < 3; k++ {
+		p.Observe(i, time.Millisecond, OutcomeProgress)
+	}
+	if p.out[i] != 1 || p.lat[i] == 0 {
+		t.Fatalf("after progress: out %d lat %v, want 1 and a latency sample", p.out[i], p.lat[i])
+	}
+	p.Observe(i, time.Millisecond, OutcomeSuccess)
+	if p.out[i] != 0 {
+		t.Fatalf("after the final observe: out %d, want 0", p.out[i])
+	}
+}
+
 func TestP2CSingleCandidate(t *testing.T) {
 	p := newP2C(3, 1)
 	if got := p.Pick([]int{2}); got != 2 {

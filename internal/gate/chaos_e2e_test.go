@@ -215,9 +215,11 @@ func TestChaosStalledReplica(t *testing.T) {
 // TestChaosMidStreamKill: a replica dies mid-NDJSON-stream, after the
 // header and three records. A direct client sees a typed truncation — the
 // framing contract's whole point — while the same grid through the
-// gateway is unaffected: the gateway executes points via /v1/run and
-// re-frames the stream itself, so one replica's dead sweep stream cannot
-// truncate a gateway response.
+// gateway is unaffected: the gateway reads the victim's share stream,
+// sees it end without its trailer, and recovers the points it still owed
+// on the surviving replica through the per-point path, re-framing the
+// stream itself, so one replica's dead sweep stream cannot truncate a
+// gateway response.
 func TestChaosMidStreamKill(t *testing.T) {
 	defer fault.Default.Reset()
 	single := startReplica(t, "")
@@ -257,10 +259,10 @@ func TestChaosMidStreamKill(t *testing.T) {
 
 	// Same grid through a gateway fronting the victim: byte-identical and
 	// complete. (The stall site stays armed with Times:1 exhausted; re-arm
-	// it unbounded to prove the gateway path never touches it.)
+	// it unbounded so the victim truncates every share it is sent.)
 	fault.Default.Arm("victim.swarmd.stream.stall", fault.Plan{Every: 1, Fail: true})
 	r2 := startChaosReplica(t, service.Options{})
-	_, ts := startChaosGateway(t, Options{
+	g, ts := startChaosGateway(t, Options{
 		Replicas: []string{victim.URL, r2.URL},
 		Balancer: BalancerRoundRobin,
 	})
@@ -269,6 +271,9 @@ func TestChaosMidStreamKill(t *testing.T) {
 		t.Error("gateway sweep with a stream-killing replica differs from a single swarmd's bytes")
 	}
 	decodeStream(t, got)
+	if c := g.Counters(); c.Retried[r2.URL] == 0 {
+		t.Errorf("victim's truncated share was not recovered on the surviving replica: retried %+v", c.Retried)
+	}
 }
 
 // TestChaosOverloadBurst: one replica sheds every request with 429

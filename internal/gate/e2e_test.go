@@ -1,6 +1,7 @@
 package gate
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"io"
@@ -138,20 +139,79 @@ func TestGatewaySweepMatchesSingleSwarmd(t *testing.T) {
 	}
 }
 
-// flakyReplica fronts a live replica but aborts every /v1/run after the
-// first one mid-response — the deterministic stand-in for a replica killed
-// mid-sweep (in-flight request cut, replica unreachable afterwards).
+// TestGatewaySweepSharesMatchSingleSwarmd: the share split is invisible in
+// the bytes. For fleets of 1, 2 and 3 replicas, a 1-point grid, the fig2
+// grid and a 2 × 3 × 3 profiled grid with a duplicated core value answer
+// in every format exactly as a single swarmd does — and on a healthy fleet
+// without hedging each sweep costs one upstream request per share, one
+// share per replica at most.
+func TestGatewaySweepSharesMatchSingleSwarmd(t *testing.T) {
+	grids := []struct {
+		name   string
+		body   string
+		shares func(replicas int) int // widest dimension's values, capped at the fleet
+	}{
+		{"1-point", `{"benches":["des"],"scheds":["hints"],"cores":[4],"scale":"tiny","format":"%s"}`,
+			func(int) int { return 1 }},
+		{"fig2", fig2SweepBody, func(r int) int { return min(r, 4) }},
+		{"2x3x3-profile", `{"benches":["sssp","des"],"scheds":["lbhints","random","hints"],"cores":[4,1,16,4],
+			"profile":true,"scale":"tiny","format":"%s"}`, func(r int) int { return min(r, 3) }},
+	}
+	formats := []string{"ndjson", "json", "csv"}
+	sweep := func(url, body, format string) []byte {
+		t.Helper()
+		resp, b := post(t, url, "/v1/sweep", strings.Replace(body, "%s", format, 1))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("sweep status %d: %s", resp.StatusCode, b)
+		}
+		return b
+	}
+	single := startReplica(t, "")
+	want := map[string][]byte{}
+	for _, gr := range grids {
+		for _, format := range formats {
+			want[gr.name+"/"+format] = sweep(single.URL, gr.body, format)
+		}
+	}
+
+	dir := t.TempDir()
+	var fleet []string
+	for replicas := 1; replicas <= 3; replicas++ {
+		fleet = append(fleet, startReplica(t, dir).URL)
+		g, ts := startGateway(t, BalancerAdaptive, fleet...)
+		for _, gr := range grids {
+			for _, format := range formats {
+				before := g.Counters()
+				got := sweep(ts.URL, gr.body, format)
+				if !bytes.Equal(got, want[gr.name+"/"+format]) {
+					t.Errorf("%d replicas, %s/%s: gateway bytes differ from single swarmd (%d vs %d bytes)",
+						replicas, gr.name, format, len(got), len(want[gr.name+"/"+format]))
+				}
+				after := g.Counters()
+				var routed uint64
+				for _, u := range fleet {
+					routed += after.Routed[u] - before.Routed[u]
+				}
+				if n := gr.shares(replicas); routed != uint64(n) || n > replicas {
+					t.Errorf("%d replicas, %s/%s: %d upstream requests, want %d (one per share)",
+						replicas, gr.name, format, routed, n)
+				}
+			}
+		}
+	}
+}
+
+// flakyReplica fronts a live replica but dies mid-share: its first
+// /v1/sweep relays the stream header and one record, then cuts the
+// connection, and every request after that is aborted — the deterministic
+// stand-in for a replica killed mid-sweep (in-flight stream cut, replica
+// unreachable afterwards).
 func flakyReplica(t *testing.T, backend *httptest.Server) *httptest.Server {
 	t.Helper()
-	var runs atomic.Int64
 	var killed atomic.Bool
 	proxy := func(w http.ResponseWriter, r *http.Request) {
 		if killed.Load() {
 			panic(http.ErrAbortHandler) // dead to every endpoint, probes included
-		}
-		if r.URL.Path == "/v1/run" && runs.Add(1) > 1 {
-			killed.Store(true)
-			panic(http.ErrAbortHandler) // cut the connection like a kill -9
 		}
 		req, err := http.NewRequestWithContext(r.Context(), r.Method, backend.URL+r.URL.Path, r.Body)
 		if err != nil {
@@ -167,7 +227,23 @@ func flakyReplica(t *testing.T, backend *httptest.Server) *httptest.Server {
 			w.Header()[k] = v
 		}
 		w.WriteHeader(resp.StatusCode)
-		_, _ = io.Copy(w, resp.Body)
+		if r.URL.Path != "/v1/sweep" {
+			_, _ = io.Copy(w, resp.Body)
+			return
+		}
+		// Relay the header line and the first record line, then die like
+		// a kill -9: the gateway sees a stream without its trailer.
+		br := bufio.NewReader(resp.Body)
+		for line := 0; line < 2; line++ {
+			b, err := br.ReadBytes('\n')
+			_, _ = w.Write(b)
+			if err != nil {
+				break
+			}
+		}
+		w.(http.Flusher).Flush()
+		killed.Store(true)
+		panic(http.ErrAbortHandler)
 	}
 	ts := httptest.NewServer(http.HandlerFunc(proxy))
 	t.Cleanup(ts.Close)
@@ -175,11 +251,12 @@ func flakyReplica(t *testing.T, backend *httptest.Server) *httptest.Server {
 }
 
 // TestGatewayReplicaKilledMidSweep: one of three replicas dies after
-// serving its first point. The sweep must still complete with exactly the
-// golden bytes — in-flight points on the dead replica re-route to the
-// survivors — and the failure must be visible in swarmgate_replica_failed_total.
-// (Round-robin guarantees the doomed replica receives >= 2 of the 8 points,
-// so at least one is cut mid-flight.)
+// streaming the first point of its share. The sweep must still complete
+// with exactly the golden bytes — the points the dead replica's share still
+// owed re-route to the survivors — and the failure must be visible in
+// swarmgate_replica_failed_total. (Every share of the fig2 grid carries
+// both core counts, so the doomed replica owes at least one point when it
+// is cut.)
 func TestGatewayReplicaKilledMidSweep(t *testing.T) {
 	dir := t.TempDir()
 	r1, r2 := startReplica(t, dir), startReplica(t, dir)

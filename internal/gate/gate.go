@@ -1,19 +1,26 @@
 // Package gate is the fleet front door behind cmd/swarmgate: an HTTP
 // gateway exposing the same /v1 surface as a single swarmd (swarm/api
-// contract), which decomposes sweep grids point-by-point across a fleet
-// of swarmd replicas, routes each point through a pluggable balancer
-// (adaptive pheromone scoring, power-of-two-choices, or round-robin),
-// executes with a per-point timeout and bounded retry-on-retryable
-// against a different replica, and reassembles the canonical-order
-// response stream — so gateway output is byte-identical to a single
-// swarmd's for the same request.
+// contract) over a fleet of swarmd replicas. A sweep grid is split into
+// shares, one cross-product sub-grid per admitted replica, each streamed
+// from its replica as one /v1/sweep; records are placed at their canonical
+// index and the response is reassembled in canonical order, so gateway
+// output is byte-identical to a single swarmd's for the same request.
+// Replicas are chosen by a pluggable balancer (adaptive pheromone scoring,
+// power-of-two-choices, or round-robin).
+//
+// Points a share fails to deliver — transport error, error envelope,
+// truncated stream, or no record within the point timeout — fall back to
+// the per-point path: one /v1/run each, with a per-point timeout and
+// bounded retry-on-retryable against a different replica. A share that
+// straggles past the fleet's hedge delay has its missing points raced per
+// point on other replicas; the first record per point wins.
 //
 // Health is maintained two ways: a background prober polls every
 // replica's /healthz, and in-band outcomes adjust both the health flag
 // (transport failures and shutting_down responses drain a replica) and
 // the balancer's scores. A replica killed mid-sweep therefore stops
-// receiving new points, its in-flight points are re-routed to surviving
-// replicas, and the sweep still completes.
+// receiving new work, the points its share still owed are re-routed to
+// surviving replicas, and the sweep still completes.
 package gate
 
 import (
@@ -21,6 +28,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,10 +40,11 @@ import (
 )
 
 // Attempt-outcome labels of the swarmgate_attempt_duration_seconds
-// histogram family. Every per-point routing attempt lands in exactly one:
-// the winner's outcome describes how it won (first try, retry, or hedge),
-// a healthy replica held off by its open breaker records a zero-duration
-// breaker-skip, and losers record failure or canceled.
+// histogram family. Every point's attempt on a replica lands in exactly
+// one — a share's points each count as one, observed with the time to
+// their record: the winner's outcome describes how it won (first try,
+// retry, or hedge), a healthy replica held off by its open breaker records
+// a zero-duration breaker-skip, and losers record failure or canceled.
 const (
 	attemptOK          = "ok"
 	attemptRetry       = "retry"
@@ -52,14 +61,17 @@ type Options struct {
 	// Balancer selects the routing policy: adaptive (default), p2c, or
 	// roundrobin.
 	Balancer string
-	// PointTimeout bounds each routing attempt of one point (0 = none).
-	// A timed-out attempt counts as a failure and retries elsewhere.
+	// PointTimeout bounds each routing attempt of one point (0 = none),
+	// and how long a share may go without delivering its next record. A
+	// timed-out attempt counts as a failure and retries elsewhere.
 	PointTimeout time.Duration
 	// Retries is how many additional attempts a retryable point failure
 	// gets, each against a different replica when one exists (default 3).
 	Retries int
-	// Concurrency bounds how many points the gateway keeps in flight per
-	// request (0 = 4 × replicas).
+	// Concurrency bounds how many per-point requests the gateway keeps in
+	// flight per request: the /v1/run fallback for points a share failed
+	// to deliver, hedges racing a straggling share, and seed fan-outs
+	// (0 = 4 × replicas). Shares themselves are one per replica.
 	Concurrency int
 	// ProbeInterval is the background /healthz polling period (0 = 1s;
 	// negative disables the prober — in-band outcomes still maintain
@@ -111,9 +123,9 @@ type replica struct {
 
 	healthy  atomic.Bool
 	inflight atomic.Int64
-	routed   atomic.Uint64 // attempts routed here (including retries and hedges)
-	retried  atomic.Uint64 // attempts routed here that were retries of a failure elsewhere
-	failed   atomic.Uint64 // attempts that failed here
+	routed   atomic.Uint64 // upstream requests routed here: shares, retries, and hedges
+	retried  atomic.Uint64 // requests routed here that were retries of a failure elsewhere
+	failed   atomic.Uint64 // point attempts that failed here (a failed share charges each point it owed)
 }
 
 // Gateway routes /v1 requests over a swarmd replica fleet.
@@ -285,15 +297,28 @@ func (g *Gateway) ProbeOnce(ctx context.Context) {
 	wg.Wait()
 }
 
+// admitted counts the replicas pick prefers: healthy, with a circuit
+// breaker that admits traffic.
+func (g *Gateway) admitted() int {
+	n := 0
+	for _, r := range g.replicas {
+		if r.healthy.Load() && r.brk.ready() {
+			n++
+		}
+	}
+	return n
+}
+
 // pick chooses the replica for the next attempt: healthy replicas whose
 // circuit breaker admits traffic first, then any healthy replica, then
-// anyone — excluding the one that just failed whenever an alternative
-// exists, and degrading rather than refusing to route, so a wrongly-
-// drained (or fully tripped) fleet self-heals through in-band successes.
-func (g *Gateway) pick(exclude int) int {
+// anyone — excluding the ones listed (the replica that just failed, or
+// those already holding a share) whenever an alternative exists, and
+// degrading rather than refusing to route, so a wrongly-drained (or fully
+// tripped) fleet self-heals through in-band successes.
+func (g *Gateway) pick(exclude ...int) int {
 	var admitted, healthy, all []int
 	for i, r := range g.replicas {
-		if i == exclude {
+		if slices.Contains(exclude, i) {
 			continue
 		}
 		all = append(all, i)
@@ -318,7 +343,7 @@ func (g *Gateway) pick(exclude int) int {
 		cands = all
 	}
 	if len(cands) == 0 {
-		return exclude // single-replica fleet: no alternative exists
+		return exclude[0] // every replica excluded: no alternative exists
 	}
 	return g.bal.Pick(cands)
 }
@@ -328,10 +353,16 @@ func (g *Gateway) pick(exclude int) int {
 // again against a different replica, up to the retry bound. It returns the
 // replica that served the point alongside the record.
 func (g *Gateway) runPoint(ctx context.Context, rr api.RunRequest) (metrics.Record, string, *api.Error) {
+	return g.retryPoint(ctx, rr, 0, -1, nil)
+}
+
+// retryPoint is runPoint's loop entered at attempt first: a point whose
+// share failed on replica last enters at attempt 1, so it backs off, is
+// routed elsewhere as a retry, and spends the same retry budget. lastErr
+// is reported when no attempt remains.
+func (g *Gateway) retryPoint(ctx context.Context, rr api.RunRequest, first, last int, lastErr *api.Error) (metrics.Record, string, *api.Error) {
 	attempts := g.opt.Retries + 1
-	var lastErr *api.Error
-	last := -1
-	for a := 0; a < attempts; a++ {
+	for a := first; a < attempts; a++ {
 		if err := ctx.Err(); err != nil {
 			return metrics.Record{}, "", api.Errorf(api.CodeShuttingDown, "%v", err)
 		}
@@ -395,121 +426,11 @@ func (g *Gateway) attempt(ctx context.Context, rr api.RunRequest, primary int, r
 	// must never block its goroutine forever.
 	results := make(chan outcome, 2)
 	var won atomic.Bool
-
+	claim := func(metrics.Record) bool { return won.CompareAndSwap(false, true) }
 	launch := func(idx int, hedge bool) {
-		r := g.replicas[idx]
-		r.routed.Add(1)
-		if retry {
-			r.retried.Add(1)
-		}
-		if hedge {
-			g.hedged.Add(1)
-		}
-		probe := r.brk.enter()
-		r.inflight.Add(1)
 		go func() {
-			defer r.inflight.Add(-1)
-			cctx, ccancel := actx, context.CancelFunc(func() {})
-			if g.opt.PointTimeout > 0 {
-				cctx, ccancel = context.WithTimeout(actx, g.opt.PointTimeout)
-			}
-			defer ccancel()
-			// The attempt span carries the trace to the replica: client.Run
-			// propagates it in the X-Swarm-Trace header, so the replica's
-			// server-side spans land in the same trace with this span as
-			// parent — retries and hedges are distinguishable by attribute.
-			cctx, sp := obs.StartSpan(cctx, "gate.attempt")
-			sp.SetAttr("replica", r.url)
-			sp.SetAttr("point", fmt.Sprintf("%s/%s/%d", rr.Bench, rr.Sched, rr.Cores))
-			if retry {
-				sp.SetAttr("retry", "true")
-			}
-			if hedge {
-				sp.SetAttr("hedge", "true")
-			}
-			finish := func(outcome string, lat time.Duration, h *obs.Histogram) {
-				sp.SetAttr("outcome", outcome)
-				sp.End()
-				h.Observe(lat)
-			}
-			start := time.Now()
-			var rs *metrics.ResultSet
-			var err error
-			if f, ok := g.siteAttempt.Fire(); ok {
-				if err = f.Sleep(cctx); err == nil {
-					err = f.Err
-				}
-			}
-			if err == nil {
-				rs, err = r.client.Run(cctx, rr)
-			}
-			lat := time.Since(start)
-			if err == nil && len(rs.Records) != 1 {
-				// Guard the index below even though the client also rejects
-				// wrong-cardinality responses: a 200 with zero records is a
-				// malformed replica answer, never a reason to panic the
-				// sweep goroutine. Instance-bound, so retry against a
-				// different replica; the replica is reachable, so no health
-				// demotion.
-				err = &api.Error{
-					Code:      api.CodeInternal,
-					Message:   fmt.Sprintf("replica returned %d records, want 1", len(rs.Records)),
-					Retryable: true,
-				}
-			}
-			switch {
-			case err == nil:
-				if won.CompareAndSwap(false, true) {
-					g.bal.Observe(idx, lat, OutcomeSuccess)
-					r.brk.success()
-					r.healthy.Store(true) // in-band recovery
-					g.lat.observe(lat)
-					g.points.Add(1)
-					if hedge {
-						g.hedgeWins.Add(1)
-					}
-					switch {
-					case hedge:
-						finish(attemptHedgeWin, lat, g.histHedgeWin)
-					case retry:
-						finish(attemptRetry, lat, g.histRetry)
-					default:
-						finish(attemptOK, lat, g.histOK)
-					}
-					results <- outcome{idx: idx, rec: rs.Records[0], won: true}
-					return
-				}
-				// Both raced legs succeeded; the sibling won. Identical
-				// records either way (determinism), so this one is only a
-				// slot release.
-				g.bal.Observe(idx, lat, OutcomeCanceled)
-				r.brk.canceled(probe)
-				finish(attemptCanceled, lat, g.histCanceled)
-				results <- outcome{idx: idx}
-			case ctx.Err() != nil || actx.Err() != nil:
-				// The caller disconnected, or the sibling won and canceled
-				// this leg: either way the attempt tells us nothing about
-				// the replica. Release the balancer slot without a score
-				// signal, leave failed counters, breaker, and health
-				// untouched — a disconnect must not poison pheromone scores
-				// or demote a healthy replica.
-				g.bal.Observe(idx, lat, OutcomeCanceled)
-				r.brk.canceled(probe)
-				finish(attemptCanceled, lat, g.histCanceled)
-				results <- outcome{idx: idx, err: api.Errorf(api.CodeShuttingDown, "%v", err)}
-			default:
-				ae := api.AsError(err)
-				g.bal.Observe(idx, lat, OutcomeFailure)
-				r.failed.Add(1)
-				r.brk.failure()
-				finish(attemptFailure, lat, g.histFailure)
-				if ae.Code == api.CodeUnavailable || ae.Code == api.CodeShuttingDown {
-					// Unreachable or draining: stop sending new points here
-					// until a probe (or an in-band success) revives it.
-					r.healthy.Store(false)
-				}
-				results <- outcome{idx: idx, err: ae}
-			}
+			rec, ok, err := g.runLeg(actx, rr, idx, retry, hedge, claim)
+			results <- outcome{idx: idx, rec: rec, err: err, won: ok}
 		}()
 	}
 
@@ -547,6 +468,135 @@ func (g *Gateway) attempt(ctx context.Context, rr api.RunRequest, primary int, r
 		firstErr = api.Errorf(api.CodeInternal, "attempt settled without an outcome")
 	}
 	return metrics.Record{}, errIdx, firstErr
+}
+
+// runLeg executes one /v1/run of rr on replica idx and settles its
+// scoring. claim decides whether the record wins its point: a winner
+// settles the replica's score, breaker, and health as a success, while a
+// record that lost its race — like a leg canceled by the caller or by a
+// sibling's win — is observed as OutcomeCanceled: no score movement, no
+// failure counter, no breaker or health verdict. It returns the record and
+// whether it won, or the failure (CodeShuttingDown when canceled).
+func (g *Gateway) runLeg(ctx context.Context, rr api.RunRequest, idx int, retry, hedge bool, claim func(metrics.Record) bool) (metrics.Record, bool, *api.Error) {
+	r := g.replicas[idx]
+	r.routed.Add(1)
+	if retry {
+		r.retried.Add(1)
+	}
+	if hedge {
+		g.hedged.Add(1)
+	}
+	probe := r.brk.enter()
+	r.inflight.Add(1)
+	defer r.inflight.Add(-1)
+	cctx, ccancel := ctx, context.CancelFunc(func() {})
+	if g.opt.PointTimeout > 0 {
+		cctx, ccancel = context.WithTimeout(ctx, g.opt.PointTimeout)
+	}
+	defer ccancel()
+	// The attempt span carries the trace to the replica: client.Run
+	// propagates it in the X-Swarm-Trace header, so the replica's
+	// server-side spans land in the same trace with this span as
+	// parent — retries and hedges are distinguishable by attribute.
+	cctx, sp := obs.StartSpan(cctx, "gate.attempt")
+	sp.SetAttr("replica", r.url)
+	if sp != nil {
+		sp.SetAttr("point", pointName(rr))
+	}
+	if retry {
+		sp.SetAttr("retry", "true")
+	}
+	if hedge {
+		sp.SetAttr("hedge", "true")
+	}
+	finish := func(outcome string, lat time.Duration, h *obs.Histogram) {
+		sp.SetAttr("outcome", outcome)
+		sp.End()
+		h.Observe(lat)
+	}
+	start := time.Now()
+	var rs *metrics.ResultSet
+	var err error
+	if f, ok := g.siteAttempt.Fire(); ok {
+		if err = f.Sleep(cctx); err == nil {
+			err = f.Err
+		}
+	}
+	if err == nil {
+		rs, err = r.client.Run(cctx, rr)
+	}
+	lat := time.Since(start)
+	if err == nil && len(rs.Records) != 1 {
+		// Guard the index below even though the client also rejects
+		// wrong-cardinality responses: a 200 with zero records is a
+		// malformed replica answer, never a reason to panic the sweep
+		// goroutine. Instance-bound, so retry against a different
+		// replica; the replica is reachable, so no health demotion.
+		err = &api.Error{
+			Code:      api.CodeInternal,
+			Message:   fmt.Sprintf("replica returned %d records, want 1", len(rs.Records)),
+			Retryable: true,
+		}
+	}
+	switch {
+	case err == nil:
+		rec := rs.Records[0]
+		if claim(rec) {
+			g.bal.Observe(idx, lat, OutcomeSuccess)
+			r.brk.success()
+			r.healthy.Store(true) // in-band recovery
+			g.lat.observe(lat)
+			switch {
+			case hedge:
+				g.hedgeWins.Add(1)
+				finish(attemptHedgeWin, lat, g.histHedgeWin)
+			case retry:
+				finish(attemptRetry, lat, g.histRetry)
+			default:
+				finish(attemptOK, lat, g.histOK)
+			}
+			return rec, true, nil
+		}
+		// The point was already won elsewhere. Identical records either
+		// way (determinism), so this one is only a slot release.
+		g.bal.Observe(idx, lat, OutcomeCanceled)
+		r.brk.canceled(probe)
+		finish(attemptCanceled, lat, g.histCanceled)
+		return rec, false, nil
+	case ctx.Err() != nil:
+		// The caller disconnected, or the point was won elsewhere and
+		// this leg canceled: either way the attempt tells us nothing
+		// about the replica. Release the balancer slot without a score
+		// signal, leave failed counters, breaker, and health untouched —
+		// a disconnect must not poison pheromone scores or demote a
+		// healthy replica.
+		g.bal.Observe(idx, lat, OutcomeCanceled)
+		r.brk.canceled(probe)
+		finish(attemptCanceled, lat, g.histCanceled)
+		return metrics.Record{}, false, api.Errorf(api.CodeShuttingDown, "%v", err)
+	default:
+		ae := api.AsError(err)
+		g.bal.Observe(idx, lat, OutcomeFailure)
+		r.failed.Add(1)
+		r.brk.failure()
+		finish(attemptFailure, lat, g.histFailure)
+		if drains(ae) {
+			r.healthy.Store(false)
+		}
+		return metrics.Record{}, false, ae
+	}
+}
+
+// drains reports whether a failure means the replica is unreachable or
+// draining: it then gets no new work until a probe (or an in-band
+// success) revives it.
+func drains(ae *api.Error) bool {
+	return ae.Code == api.CodeUnavailable || ae.Code == api.CodeShuttingDown
+}
+
+// pointName is a point's gate.attempt span label: bench/sched/cores.
+func pointName(rr api.RunRequest) string {
+	return fmt.Sprintf("%s/%s/%d", rr.Bench, rr.Sched, rr.Cores)
 }
 
 // Counters is a point-in-time snapshot of the gateway's operational

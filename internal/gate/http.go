@@ -7,7 +7,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"sync"
 
 	"swarmhints/internal/bench"
 	"swarmhints/internal/cliutil"
@@ -89,6 +88,7 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, aerr)
 		return
 	}
+	g.points.Add(1)
 	rs := metrics.ResultSet{Schema: metrics.SchemaVersion, Fields: exp.ExportFields,
 		Records: []metrics.Record{rec}}
 	var buf bytes.Buffer
@@ -114,7 +114,7 @@ func (g *Gateway) handleRunSeeds(w http.ResponseWriter, ctx context.Context, cfg
 	for i, s := range seeds {
 		rrs[i] = pointRequest(cfg.Point, cfg.Scale, s)
 	}
-	recs, aerr := g.runAllPoints(ctx, rrs)
+	recs, aerr := g.runAllPoints(ctx, rrs, nil)
 	if aerr != nil {
 		api.WriteError(w, aerr)
 		return
@@ -139,10 +139,10 @@ func (g *Gateway) handleRunSeeds(w http.ResponseWriter, ctx context.Context, cfg
 	_, _ = w.Write(buf.Bytes())
 }
 
-// handleSweep serves POST /v1/sweep: the grid is decomposed into points,
-// each point routed to a balancer-chosen replica, and the responses are
-// reassembled in canonical configuration order — the same order, framing,
-// and bytes a single swarmd would emit.
+// handleSweep serves POST /v1/sweep: the grid is split into one share per
+// admitted replica, each streamed from its replica as one /v1/sweep, and
+// the records are reassembled in canonical configuration order — the same
+// order, framing, and bytes a single swarmd would emit.
 func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	ctx, sp := traced(w, r, "swarmgate.sweep")
 	defer sp.End()
@@ -165,13 +165,14 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	for i, p := range points {
 		rrs[i] = pointRequest(p, scale, seed)
 	}
+	shares := partition(points, scale, seed, g.admitted())
 	g.sweeps.Add(1)
 
 	switch format {
 	case "ndjson":
-		g.streamSweep(w, ctx, rrs)
+		g.streamSweep(w, ctx, rrs, shares)
 	case "json", "csv":
-		recs, aerr := g.runAllPoints(ctx, rrs)
+		recs, aerr := g.runAllPoints(ctx, rrs, shares)
 		if aerr != nil {
 			api.WriteError(w, aerr)
 			return
@@ -207,62 +208,26 @@ func (g *Gateway) writeResultSet(w http.ResponseWriter, rs *metrics.ResultSet, f
 	_, _ = w.Write(buf.Bytes())
 }
 
-// runAllPoints routes every point across the fleet with bounded
-// concurrency and returns the records in point order. The first
-// non-retryable failure cancels the remaining points and is reported;
-// cancellation ripples are suppressed in its favor.
-func (g *Gateway) runAllPoints(ctx context.Context, rrs []api.RunRequest) ([]metrics.Record, *api.Error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+// runAllPoints is fill's buffered writer: it returns the records in point
+// order once every point has completed. shares may be nil, which routes
+// every point through the per-point path (the seeds fan-out).
+func (g *Gateway) runAllPoints(ctx context.Context, rrs []api.RunRequest, shares []share) ([]metrics.Record, *api.Error) {
 	recs := make([]metrics.Record, len(rrs))
-	errs := make([]*api.Error, len(rrs))
-	sem := make(chan struct{}, g.opt.Concurrency)
-	var wg sync.WaitGroup
-	for i := range rrs {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				errs[i] = api.Errorf(api.CodeShuttingDown, "%v", ctx.Err())
-				return
-			}
-			defer func() { <-sem }()
-			rec, _, aerr := g.runPoint(ctx, rrs[i])
-			if aerr != nil {
-				errs[i] = aerr
-				cancel()
-				return
-			}
-			recs[i] = rec
-		}()
-	}
-	wg.Wait()
-	var first *api.Error
-	for _, e := range errs {
-		if e == nil {
-			continue
-		}
-		// Prefer the root-cause failure over cancellation ripples.
-		if first == nil || (first.Code == api.CodeShuttingDown && e.Code != api.CodeShuttingDown) {
-			first = e
-		}
-	}
-	if first != nil {
-		return nil, first
+	if err := g.fill(ctx, rrs, shares, func(i int, rec metrics.Record) error {
+		recs[i] = rec
+		return nil
+	}); err != nil {
+		return nil, api.AsError(err)
 	}
 	return recs, nil
 }
 
-// streamSweep emits the sweep as NDJSON in the api framing, routing
-// points across the fleet with bounded concurrency and writing record i
-// as soon as records 0..i have all completed — the same prefix-order
-// streaming a single swarmd performs, so the stream bytes are identical.
-// A point that fails after its retries truncates the stream (no trailer),
-// exactly as a single swarmd's mid-grid failure would.
-func (g *Gateway) streamSweep(w http.ResponseWriter, ctx context.Context, rrs []api.RunRequest) {
+// streamSweep is fill's NDJSON writer: it emits the sweep in the api
+// framing, writing record i as soon as records 0..i have all completed —
+// the same prefix-order streaming a single swarmd performs, so the stream
+// bytes are identical. A point that fails after its retries truncates the
+// stream (no trailer), exactly as a single swarmd's mid-grid failure would.
+func (g *Gateway) streamSweep(w http.ResponseWriter, ctx context.Context, rrs []api.RunRequest, shares []share) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	header, err := api.EncodeHeader(api.StreamHeader{
 		Schema: metrics.SchemaVersion, Fields: exp.ExportFields, Points: len(rrs),
@@ -283,59 +248,26 @@ func (g *Gateway) streamSweep(w http.ResponseWriter, ctx context.Context, rrs []
 	}
 	flush()
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var mu sync.Mutex // guards next, lines, streamErr, written, and writes to w
 	next := 0
-	lines := make(map[int][]byte, len(rrs))
-	var streamErr error
-	sem := make(chan struct{}, g.opt.Concurrency)
-	var wg sync.WaitGroup
-	for i := range rrs {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				return
-			}
-			defer func() { <-sem }()
-			rec, _, aerr := g.runPoint(ctx, rrs[i])
-			mu.Lock()
-			defer mu.Unlock()
-			if streamErr != nil {
-				return
-			}
-			if aerr != nil {
-				streamErr = aerr
-				cancel()
-				return
-			}
-			line, err := api.EncodeRecord(rec)
+	lines := make([][]byte, len(rrs))
+	streamErr := g.fill(ctx, rrs, shares, func(i int, rec metrics.Record) error {
+		line, err := api.EncodeRecord(rec)
+		if err != nil {
+			return err
+		}
+		lines[i] = line
+		for next < len(rrs) && lines[next] != nil {
+			n, err := w.Write(lines[next])
+			written += int64(n)
 			if err != nil {
-				streamErr = err
-				cancel()
-				return
+				return err
 			}
-			lines[i] = line
-			for next < len(rrs) && lines[next] != nil {
-				n, err := w.Write(lines[next])
-				written += int64(n)
-				if err != nil {
-					streamErr = err
-					cancel()
-					return
-				}
-				delete(lines, next)
-				next++
-			}
-			flush()
-		}()
-	}
-	wg.Wait()
+			lines[next] = nil
+			next++
+		}
+		flush()
+		return nil
+	})
 	if streamErr != nil {
 		slog.Error("sweep stream aborted",
 			"component", "swarmgate",
@@ -370,7 +302,7 @@ func (g *Gateway) handleExperimentList(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		lastErr = api.AsError(err)
-		if lastErr.Code == api.CodeUnavailable || lastErr.Code == api.CodeShuttingDown {
+		if drains(lastErr) {
 			rep.healthy.Store(false)
 		}
 		if !lastErr.Retryable {
@@ -414,7 +346,7 @@ func (g *Gateway) handleExperiment(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		lastErr = api.AsError(err)
-		if lastErr.Code == api.CodeUnavailable || lastErr.Code == api.CodeShuttingDown {
+		if drains(lastErr) {
 			rep.healthy.Store(false)
 		}
 		if !lastErr.Retryable {

@@ -3,6 +3,7 @@ package gate
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -147,5 +148,45 @@ func TestGatewayCanceledRequestKeepsScores(t *testing.T) {
 	}
 	if len(rec.Labels) == 0 {
 		t.Error("follow-up point returned an empty record")
+	}
+}
+
+// TestGatewayShareWrongRecords: a replica that answers its share with a
+// well-framed stream of the wrong points (here: another benchmark's) must
+// not leak a single foreign record into the response. The share fails as
+// an instance-bound internal error, its points are retried on the other
+// replica, and — the replica being reachable — its health stays up.
+func TestGatewayShareWrongRecords(t *testing.T) {
+	good := startReplica(t, "")
+	backend := startReplica(t, "")
+	wrong := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body := io.Reader(r.Body)
+		if r.URL.Path == "/v1/sweep" {
+			b, _ := io.ReadAll(r.Body)
+			body = bytes.NewReader(bytes.ReplaceAll(b, []byte(`"des"`), []byte(`"sssp"`)))
+		}
+		resp, err := http.Post(backend.URL+r.URL.Path, "application/json", body)
+		if err != nil {
+			panic(http.ErrAbortHandler)
+		}
+		defer resp.Body.Close()
+		w.WriteHeader(resp.StatusCode)
+		_, _ = io.Copy(w, resp.Body)
+	}))
+	t.Cleanup(wrong.Close)
+
+	g, ts := startGateway(t, BalancerRoundRobin, wrong.URL, good.URL)
+	if got := postSweep(t, ts.URL, "json"); !bytes.Equal(got, fig2Golden(t)) {
+		t.Error("sweep through a replica streaming the wrong points differs from the golden export")
+	}
+	c := g.Counters()
+	if c.Failed[wrong.URL] == 0 {
+		t.Error("wrong-point share not counted as a failed attempt")
+	}
+	if c.Retried[good.URL] == 0 {
+		t.Error("wrong-point share's points were not retried on the other replica")
+	}
+	if !c.Healthy[wrong.URL] {
+		t.Error("reachable replica demoted for streaming the wrong points")
 	}
 }

@@ -140,7 +140,7 @@ func ParseRun(req api.RunRequest) (Config, *api.Error) {
 
 // ParseSweep resolves a sweep request into its deduplicated, canonically
 // ordered configuration points plus the harness fields. Exported for the
-// gateway, which decomposes the grid point-by-point across a replica fleet
+// gateway, which splits the grid into per-replica shares across a fleet
 // and must enumerate exactly the points — in exactly the order — a single
 // swarmd would.
 func ParseSweep(req api.SweepRequest) ([]exp.Point, bench.Scale, int64, *api.Error) {
@@ -194,14 +194,8 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sp.SetAttr("key", cfg.Key())
-	if f, ok := s.siteSlow.Fire(); ok {
-		if err := f.Sleep(ctx); err != nil {
-			api.WriteError(w, runError(err))
-			return
-		}
-	}
-	if f, ok := s.siteErr.Fire(); ok && f.Err != nil {
-		api.WriteError(w, runError(f.Err))
+	if aerr := s.injectRunFaults(ctx); aerr != nil {
+		api.WriteError(w, aerr)
 		return
 	}
 	var st *swarm.Stats
@@ -230,6 +224,22 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(buf.Bytes())
 }
 
+// injectRunFaults fires the swarmd.run.slow and swarmd.run.err sites once
+// at the start of every /v1/run and /v1/sweep, before any byte of the
+// response: a slow or failing replica is so for every request, whatever
+// its shape.
+func (s *Service) injectRunFaults(ctx context.Context) *api.Error {
+	if f, ok := s.siteSlow.Fire(); ok {
+		if err := f.Sleep(ctx); err != nil {
+			return runError(err)
+		}
+	}
+	if f, ok := s.siteErr.Fire(); ok && f.Err != nil {
+		return runError(f.Err)
+	}
+	return nil
+}
+
 // handleSweep serves POST /v1/sweep: the grid is sharded across the worker
 // fleet and, for NDJSON, streamed in canonical configuration order — record
 // i is written as soon as records 0..i have all completed, so output order
@@ -251,6 +261,10 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sp.SetAttrInt("points", int64(len(points)))
+	if aerr := s.injectRunFaults(ctx); aerr != nil {
+		api.WriteError(w, aerr)
+		return
+	}
 	format := req.Format
 	if format == "" {
 		format = "ndjson"

@@ -164,8 +164,8 @@ type Service struct {
 	// Fault-injection sites (internal/fault), resolved once at New under
 	// opt.FaultScope. Disarmed — the production state — each costs one
 	// atomic load where it is wired in.
-	siteSlow     *fault.Site // swarmd.run.slow: delay before serving a run
-	siteErr      *fault.Site // swarmd.run.err: fail a run with an injected 500
+	siteSlow     *fault.Site // swarmd.run.slow: delay a run or sweep before it starts
+	siteErr      *fault.Site // swarmd.run.err: fail a run or sweep with an injected 500
 	siteStall    *fault.Site // swarmd.stream.stall: stall/kill a sweep mid-NDJSON
 	siteOverload *fault.Site // swarmd.overload: force the admission bound shut
 

@@ -1,12 +1,14 @@
-// Load-shedding tests: the MaxPending admission bound, the injected
-// overload site, and the shape of the 429 the shed produces. The shed
-// must never touch healthz or metrics — an overloaded replica still has
-// to answer the prober and export its counters.
+// Load-shedding and request-fault tests: the MaxPending admission bound,
+// the injected overload site, and the shape of the 429 the shed produces,
+// plus the run-fault sites every work request passes. The shed must never
+// touch healthz or metrics — an overloaded replica still has to answer the
+// prober and export its counters.
 package service
 
 import (
 	"bytes"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -98,5 +100,45 @@ func TestInjectedOverloadSheds(t *testing.T) {
 	}
 	if c := svc.Counters(); c.Shed != 2 {
 		t.Errorf("Shed = %d, want 2", c.Shed)
+	}
+}
+
+// TestRunFaultsFireOnSweep: swarmd.run.err and swarmd.run.slow fire at the
+// start of a /v1/sweep exactly as they do for /v1/run — the error as a
+// retryable envelope before any stream byte, the delay before the header —
+// so a replica made slow or failing is so for every request.
+func TestRunFaultsFireOnSweep(t *testing.T) {
+	defer fault.Default.Reset()
+	_, ts := startServer(t, Options{Workers: 2, Validate: true})
+	sweep := func() (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json",
+			strings.NewReader(`{"benches":["des"],"scheds":["random"],"cores":[1],"scale":"tiny"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp, buf.Bytes()
+	}
+
+	fault.Default.Arm("swarmd.run.err", fault.Plan{Every: 1, Times: 1, Fail: true})
+	resp, b := sweep()
+	aerr := api.DecodeError(resp.StatusCode, bytes.TrimSpace(b))
+	if resp.StatusCode != http.StatusInternalServerError || aerr.Code != api.CodeInternal || !aerr.Retryable {
+		t.Fatalf("sweep under swarmd.run.err: %d %+v, want a retryable %q envelope", resp.StatusCode, aerr, api.CodeInternal)
+	}
+
+	const delay = 200 * time.Millisecond
+	fault.Default.Arm("swarmd.run.slow", fault.Plan{Every: 1, Times: 1, Latency: delay})
+	start := time.Now()
+	if resp, b := sweep(); resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep under swarmd.run.slow: %d %s", resp.StatusCode, b)
+	}
+	if d := time.Since(start); d < delay {
+		t.Errorf("sweep under swarmd.run.slow took %v, want >= %v", d, delay)
 	}
 }
